@@ -306,58 +306,57 @@ let serve_conc : serve_conc option ref = ref None
 let scaling_rows : (string * int * int * Bigcount.t * int * float * float) list ref =
   ref []
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path =
+  let row (family, n, a, total, reach, t_si, t_safe) =
+    Json.Obj
+      [
+        ("family", Json.String family);
+        ("n", Json.Int n);
+        ("a", Json.Int a);
+        ("state_space", Json.Num (Bigcount.to_string total));
+        ("reachable", Json.Int reach);
+        ("si_s", Json.fixed 4 t_si);
+        ("safety_s", Json.fixed 4 t_safe);
+      ]
+  in
+  let serve =
+    match !serve_conc with
+    | None -> []
+    | Some s ->
+        [
+          ( "serve_concurrency",
+            Json.Obj
+              [
+                ("cores", Json.Int s.sc_cores);
+                ("requests", Json.Int s.sc_requests);
+                ("seq_s", Json.fixed 4 s.sc_seq_s);
+                ("jobs4_s", Json.fixed 4 s.sc_jobs4_s);
+                ("chaos_s", Json.fixed 4 s.sc_chaos_s);
+                ( "speedup",
+                  Json.fixed 3 (if s.sc_jobs4_s > 0.0 then s.sc_seq_s /. s.sc_jobs4_s else 0.0) );
+                ("chaos_injections", Json.Int s.sc_injections);
+                ("bytes_identical", Json.Bool s.sc_identical);
+              ] );
+        ]
+  in
+  let doc =
+    Json.Obj
+      ([
+         ( "benchmarks_ns_per_run",
+           Json.Table (List.rev_map (fun (name, ns) -> (name, Json.fixed 1 ns)) !bench_ns) );
+         ("scaling_standard_protocol", Json.List (List.rev_map row !scaling_rows));
+       ]
+      @ serve
+      @ [
+          (* cumulative engine counters over the whole run, so CI can watch
+             the work profile (cache hit rates, fixpoint depths) alongside
+             the times *)
+          ( "counters",
+            Json.Table (List.map (fun (name, v) -> (name, Json.Int v)) (Kpt_obs.counters ())) );
+        ])
+  in
   let oc = open_out path in
-  let pf fmt = Printf.fprintf oc fmt in
-  pf "{\n  \"benchmarks_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      pf "    \"%s\": %.1f%s\n" (json_escape name) ns
-        (if i = List.length !bench_ns - 1 then "" else ","))
-    (List.rev !bench_ns);
-  pf "  },\n  \"scaling_standard_protocol\": [\n";
-  let rows = List.rev !scaling_rows in
-  List.iteri
-    (fun i (family, n, a, total, reach, t_si, t_safe) ->
-      pf
-        "    { \"family\": \"%s\", \"n\": %d, \"a\": %d, \"state_space\": %s, \
-         \"reachable\": %d, \"si_s\": %.4f, \"safety_s\": %.4f }%s\n"
-        (json_escape family) n a (Bigcount.to_string total) reach t_si t_safe
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pf "  ],\n";
-  (match !serve_conc with
-  | None -> ()
-  | Some s ->
-      pf
-        "  \"serve_concurrency\": { \"cores\": %d, \"requests\": %d, \"seq_s\": %.4f, \
-         \"jobs4_s\": %.4f, \"chaos_s\": %.4f, \"speedup\": %.3f, \
-         \"chaos_injections\": %d, \"bytes_identical\": %b },\n"
-        s.sc_cores s.sc_requests s.sc_seq_s s.sc_jobs4_s s.sc_chaos_s
-        (if s.sc_jobs4_s > 0.0 then s.sc_seq_s /. s.sc_jobs4_s else 0.0)
-        s.sc_injections s.sc_identical);
-  (* cumulative engine counters over the whole run, so CI can watch the
-     work profile (cache hit rates, fixpoint depths) alongside the times *)
-  pf "  \"counters\": {\n";
-  let cs = Kpt_obs.counters () in
-  List.iteri
-    (fun i (name, v) ->
-      pf "    \"%s\": %d%s\n" (json_escape name) v
-        (if i = List.length cs - 1 then "" else ","))
-    cs;
-  pf "  }\n}\n";
+  output_string oc (Json.pretty doc);
   close_out oc;
   Format.printf "@.Machine-readable results written to %s@." path
 

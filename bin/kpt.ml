@@ -181,12 +181,14 @@ let read_file path =
    [Kpt_analysis.Driver]: the body renders to strings, we put them on
    the real streams.  [--trace] events are streamed live to stderr via
    an explicit sink instead of being buffered with the rest. *)
-let emit_outcome (o : Kpt_analysis.Driver.outcome) =
-  print_string o.Kpt_analysis.Driver.out;
+module Driver = Kpt_analysis.Driver
+
+let emit_outcome (o : Driver.outcome) =
+  print_string o.out;
   flush stdout;
-  prerr_string o.Kpt_analysis.Driver.err;
+  prerr_string o.err;
   flush stderr;
-  o.Kpt_analysis.Driver.code
+  o.code
 
 let live_trace_sink trace =
   if trace then Some (Kpt_obs.trace_sink Format.err_formatter) else None
@@ -200,6 +202,107 @@ let with_trace trace f =
     Kpt_obs.set_sink (Some (Kpt_obs.trace_sink Format.err_formatter));
     Fun.protect ~finally:(fun () -> Kpt_obs.set_sink None) f
   end
+
+(* ---- Driver options: declared once, shared with [kpt client] --------------- *)
+
+(* check, lint, stats, solve-file and slice each parse their options
+   with one [Driver.options Term.t] below; the direct command and its
+   [kpt client] twin both use it, so the two cannot drift apart. *)
+
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:"Emit the machine-readable JSON form instead of the human-readable text.")
+
+let warn_error_arg =
+  Arg.(value & flag & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
+
+let quiet_arg =
+  Arg.(
+    value & flag
+    & info [ "q"; "quiet" ]
+        ~doc:
+          "Print nothing; communicate through the exit code only.  The exit-code \
+           policy is unchanged: 1 iff any error (or any warning with \
+           $(b,--warn-error)).")
+
+let slice_arg =
+  Arg.(
+    value & flag
+    & info [ "slice" ]
+        ~doc:
+          "Reduce the protocol to its cone of influence first (conservative for \
+           knowledge guards; the verdict is preserved).")
+
+let semantic_arg =
+  Arg.(
+    value & flag
+    & info [ "semantic" ]
+        ~doc:
+          "Add the semantic tier (KPT1xx): elaborate each file and run the \
+           reachability-aware passes — unreachable statements, dead guards, \
+           unsatisfiable init, deadlock-reachable states, locally implementable \
+           knowledge guards — under a small deterministic budget.  Override the \
+           default budget (fuel 10000, 1e6 nodes) with $(b,--fuel) / \
+           $(b,--max-nodes) / $(b,--timeout).")
+
+let timings_arg =
+  Arg.(
+    value & flag
+    & info [ "timings" ]
+        ~doc:
+          "Include the (nondeterministic) timings_ns section in $(b,--json); off by \
+           default so the output is deterministic.")
+
+let wrt_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "wrt" ] ~docv:"EXPR"
+        ~doc:
+          "Slice with respect to this property (repeatable; the cone is seeded with \
+           the union of the properties' variable supports).  Without it the \
+           conservative seed is used: everything the protocol can observe, so only \
+           write-only sinks are dropped.")
+
+let check_opts =
+  let make reorder jobs json slice warn_error quiet limits =
+    let jobs = jobs_opt jobs in
+    { Driver.default_options with jobs; json; slice; warn_error; quiet; limits; reorder }
+  in
+  Term.(
+    const make $ reorder_arg $ jobs_arg $ json_arg $ slice_arg $ warn_error_arg $ quiet_arg
+    $ limits_term)
+
+let lint_opts =
+  let make reorder jobs semantic json warn_error quiet limits =
+    let jobs = jobs_opt jobs in
+    { Driver.default_options with jobs; semantic; json; warn_error; quiet; limits; reorder }
+  in
+  Term.(
+    const make $ reorder_arg $ jobs_arg $ semantic_arg $ json_arg $ warn_error_arg $ quiet_arg
+    $ limits_term)
+
+let stats_opts =
+  let make reorder jobs json timings =
+    { Driver.default_options with jobs = jobs_opt jobs; json; timings; reorder }
+  in
+  Term.(const make $ reorder_arg $ jobs_arg $ json_arg $ timings_arg)
+
+let solve_opts =
+  let make reorder slice trace limits =
+    { Driver.default_options with slice; trace; limits; reorder }
+  in
+  Term.(const make $ reorder_arg $ slice_arg $ trace_arg $ limits_term)
+
+let slice_opts =
+  let make reorder wrt limits = { Driver.default_options with wrt; limits; reorder } in
+  Term.(const make $ reorder_arg $ wrt_arg $ limits_term)
+
+let files_arg =
+  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
+
+let sources_of paths = List.map (fun p -> (p, read_file p)) paths
 
 (* ---- experiments --------------------------------------------------------- *)
 
@@ -382,64 +485,22 @@ let check_cmd =
             "Either one built-in protocol (standard, kbp, abp, stenning, auy, window) \
              or any number of .unity files.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one machine-readable JSON report for the whole batch.")
-  in
-  let warn_error_arg =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:"Print nothing; communicate through the exit code only.")
-  in
-  let slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:
-            "Reduce each file's protocol to its cone of influence before solving \
-             (conservative for knowledge guards; the verdict is preserved).")
-  in
-  let run_batch paths reorder jobs json slice warn_error quiet limits =
-    match List.map (fun p -> (p, read_file p)) paths with
-    | sources ->
-        emit_outcome
-          (Kpt_analysis.Driver.check
-             {
-               Kpt_analysis.Driver.default_options with
-               jobs = jobs_opt jobs;
-               json;
-               warn_error;
-               quiet;
-               slice;
-               limits;
-               reorder;
-             }
-             sources)
-    | exception Sys_error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-  in
-  let run reorder targets n a lossy fault jobs json slice warn_error quiet limits =
+  let run targets n a lossy fault (opts : Driver.options) =
     match targets with
     | [ name ] when List.mem_assoc name protos ->
         (* the built-in-protocol path still runs in-process: give it the
            requested reorder policy the way [reorder_term] used to *)
-        Engine.set_default_reorder_mode reorder;
-        run_proto (List.assoc name protos) n a lossy fault limits
-    | paths ->
-        if fault <> None then begin
-          Format.eprintf "error: --fault applies to built-in protocols only@.";
-          2
-        end
-        else run_batch paths reorder jobs json slice warn_error quiet limits
+        Engine.set_default_reorder_mode opts.reorder;
+        run_proto (List.assoc name protos) n a lossy fault opts.limits
+    | _ when fault <> None ->
+        Format.eprintf "error: --fault applies to built-in protocols only@.";
+        2
+    | paths -> (
+        match sources_of paths with
+        | sources -> emit_outcome (Driver.check opts sources)
+        | exception Sys_error msg ->
+            Format.eprintf "error: %s@." msg;
+            1)
   in
   Cmd.v
     (Cmd.info "check"
@@ -448,9 +509,7 @@ let check_cmd =
           under a $(b,--fault) model and a resource budget), or batch-check .unity \
           files (lint + solve + stats, in parallel with $(b,-j); $(b,--timeout) is a \
           per-file deadline).")
-    Term.(
-      const run $ reorder_arg $ targets_arg $ n_arg $ a_arg $ lossy_arg $ fault_arg
-      $ jobs_arg $ json_arg $ slice_arg $ warn_error_arg $ quiet_arg $ limits_term)
+    Term.(const run $ targets_arg $ n_arg $ a_arg $ lossy_arg $ fault_arg $ check_opts)
 
 (* ---- simulate -------------------------------------------------------------- *)
 
@@ -578,119 +637,28 @@ let parse_cmd =
 (* ---- lint -------------------------------------------------------------------- *)
 
 let lint_cmd =
-  let warn_error =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:
-            "Print nothing; communicate through the exit code only.  The exit-code \
-             policy is unchanged: 1 iff any error (or any warning with \
-             $(b,--warn-error)).")
-  in
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"A .unity source file.")
-  in
-  let semantic =
-    Arg.(
-      value & flag
-      & info [ "semantic" ]
-          ~doc:
-            "Add the semantic tier (KPT1xx): elaborate each file and run the \
-             reachability-aware passes — unreachable statements, dead guards, \
-             unsatisfiable init, deadlock-reachable states, locally implementable \
-             knowledge guards — under a small deterministic budget.  Override the \
-             default budget (fuel 10000, 1e6 nodes) with $(b,--fuel) / \
-             $(b,--max-nodes) / $(b,--timeout).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one machine-readable JSON report for the whole batch (the \
-             $(b,kpt check --json) shape, minus the per-file stats).")
-  in
-  let run reorder paths warn_error quiet jobs semantic json limits =
-    let sources = List.map (fun path -> (path, read_file path)) paths in
-    emit_outcome
-      (Kpt_analysis.Driver.lint
-         {
-           Kpt_analysis.Driver.default_options with
-           jobs = jobs_opt jobs;
-           semantic;
-           json;
-           warn_error;
-           quiet;
-           limits;
-           reorder;
-         }
-         sources)
-  in
+  let run paths opts = emit_outcome (Driver.lint opts (sources_of paths)) in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Run the static-analysis passes (locality, K-polarity, hygiene, \
           interference) on .unity source files; $(b,--semantic) adds the budgeted \
-          reachability-aware KPT1xx tier.")
-    Term.(
-      const run $ reorder_arg $ files_arg $ warn_error $ quiet $ jobs_arg $ semantic
-      $ json $ limits_term)
-
-let slice_flag =
-  Arg.(
-    value & flag
-    & info [ "slice" ]
-        ~doc:
-          "Reduce the protocol to its cone of influence first (conservative for \
-           knowledge guards; the verdict is preserved).")
+          reachability-aware KPT1xx tier.  $(b,--json) emits the $(b,kpt check \
+          --json) shape, minus the per-file stats.")
+    Term.(const run $ files_arg $ lint_opts)
 
 let solve_file_cmd =
-  let run reorder path slice trace limits =
-    emit_outcome
-      (Kpt_analysis.Driver.solve
-         ?sink:(live_trace_sink trace)
-         {
-           Kpt_analysis.Driver.default_options with
-           slice;
-           trace;
-           limits;
-           reorder;
-         }
-         [ (path, read_file path) ])
+  let run path (opts : Driver.options) =
+    emit_outcome (Driver.solve ?sink:(live_trace_sink opts.trace) opts (sources_of [ path ]))
   in
   Cmd.v
     (Cmd.info "solve-file" ~doc:"Solve the knowledge-based protocol in a .unity file.")
-    Term.(const run $ reorder_arg $ file_arg $ slice_flag $ trace_arg $ limits_term)
+    Term.(const run $ file_arg $ solve_opts)
 
 (* ---- slice: cone-of-influence reduction as a transformation ------------------ *)
 
 let slice_cmd =
-  let wrt_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "wrt" ] ~docv:"EXPR"
-          ~doc:
-            "Slice with respect to this property (repeatable; the cone is seeded \
-             with the union of the properties' variable supports).  Without it the \
-             conservative seed is used: everything the protocol can observe, so only \
-             write-only sinks are dropped.")
-  in
-  let run reorder path wrt limits =
-    emit_outcome
-      (Kpt_analysis.Driver.slice
-         {
-           Kpt_analysis.Driver.default_options with
-           wrt;
-           limits;
-           reorder;
-         }
-         [ (path, read_file path) ])
-  in
+  let run path opts = emit_outcome (Driver.slice opts (sources_of [ path ])) in
   Cmd.v
     (Cmd.info "slice"
        ~doc:
@@ -698,7 +666,7 @@ let slice_cmd =
           can influence the property given with $(b,--wrt) (or anything the protocol \
           observes, without it).  Prints the cone, the kept/dropped statement names \
           and — when the slice is not the identity — the sliced protocol.")
-    Term.(const run $ reorder_arg $ file_arg $ wrt_arg $ limits_term)
+    Term.(const run $ file_arg $ slice_opts)
 
 let verify_cmd =
   let invariants =
@@ -800,61 +768,24 @@ let verify_cmd =
           resource budget ($(b,--timeout), $(b,--fuel), $(b,--max-nodes)) and after a \
           property-directed cone-of-influence reduction ($(b,--slice)).")
     Term.(
-      const run $ reorder_term $ file_arg $ invariants $ stables $ leadstos $ slice_flag
+      const run $ reorder_term $ file_arg $ invariants $ stables $ leadstos $ slice_arg
       $ trace_arg $ limits_term)
 
 (* ---- stats: the engine profile of a single file ------------------------------ *)
 
 let stats_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit a machine-readable JSON profile instead of the human table.  Add \
-             $(b,--timings) for wall-clock spans (off by default so the output is \
-             deterministic).")
-  in
-  let timings =
-    Arg.(
-      value & flag
-      & info [ "timings" ] ~doc:"Include the (nondeterministic) timings_ns section in --json.")
-  in
-  let files_arg =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
-  in
-  let run reorder paths json timings jobs =
-    let sources = List.map (fun path -> (path, read_file path)) paths in
-    emit_outcome
-      (Kpt_analysis.Driver.stats
-         {
-           Kpt_analysis.Driver.default_options with
-           jobs = jobs_opt jobs;
-           json;
-           timings;
-           reorder;
-         }
-         sources)
-  in
+  let run paths opts = emit_outcome (Driver.stats opts (sources_of paths)) in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Profile the engine on .unity files: op-cache hit rate, node counts, fixpoint \
           iteration depths and exact state-space size.  Several files are profiled in \
           parallel with $(b,-j).")
-    Term.(const run $ reorder_arg $ files_arg $ json $ timings $ jobs_arg)
+    Term.(const run $ files_arg $ stats_opts)
 
 (* ---- matrix: protocols × fault models ---------------------------------------- *)
 
 let matrix_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the deterministic JSON form (what the CI golden pins).")
-  in
   let faults_arg =
     Arg.(
       value
@@ -1047,53 +978,6 @@ let client_cmd =
             "If no daemon is reachable, run the command locally through the same \
              driver instead of failing — same bytes, same exit code, just cold.")
   in
-  let files_pos =
-    Arg.(
-      non_empty & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"One or more .unity source files.")
-  in
-  let file_pos =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"A .unity source file.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable JSON form.")
-  in
-  let warn_error_arg =
-    Arg.(
-      value & flag
-      & info [ "warn-error" ] ~doc:"Treat warnings as errors for the exit code.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ]
-          ~doc:"Print nothing; communicate through the exit code only.")
-  in
-  let slice_arg =
-    Arg.(
-      value & flag
-      & info [ "slice" ]
-          ~doc:"Reduce each protocol to its cone of influence before solving.")
-  in
-  let semantic_arg =
-    Arg.(
-      value & flag
-      & info [ "semantic" ] ~doc:"Add the semantic lint tier (KPT1xx).")
-  in
-  let timings_arg =
-    Arg.(
-      value & flag
-      & info [ "timings" ]
-          ~doc:"Include the (nondeterministic) timings_ns section in --json.")
-  in
-  let wrt_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "wrt" ] ~docv:"EXPR"
-          ~doc:"Slice with respect to this property (repeatable).")
-  in
   let retries_arg =
     Arg.(
       value & opt int 0
@@ -1117,117 +1001,48 @@ let client_cmd =
   (* files are read client-side: the daemon sees spec bytes, never paths,
      so the cache key is content-addressed and the daemon needs no access
      to the client's filesystem *)
-  let roundtrip socket serve_auto retries backoff cmd opts paths =
-    match List.map (fun p -> (p, read_file p)) paths with
-    | files ->
-        Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto
-          ~retries ~backoff
-          { Kpt_serve.Protocol.id = 1; cmd; files; opts }
-    | exception Sys_error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-  in
-  let check_sub =
-    let run socket serve_auto retries backoff paths reorder jobs json slice
-        warn_error quiet limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Check
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          json;
-          slice;
-          warn_error;
-          quiet;
-          limits;
-          reorder;
-        }
-        paths
+  let transport =
+    let send socket serve_auto retries backoff cmd opts paths =
+      match sources_of paths with
+      | files ->
+          Kpt_serve.Client.run_cli ~socket:(resolve_socket socket) ~serve_auto
+            ~retries ~backoff
+            { Kpt_serve.Protocol.id = 1; cmd; files; opts }
+      | exception Sys_error msg ->
+          Format.eprintf "error: %s@." msg;
+          1
     in
-    Cmd.v
-      (Cmd.info "check" ~doc:"Batch-check .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ json_arg $ slice_arg
-        $ warn_error_arg $ quiet_arg $ limits_term)
+    Term.(const send $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg)
+  in
+  (* a served twin of a direct command: the same options term, the same
+     positional files, plus the transport flags *)
+  let sub name ~doc cmd opts paths =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(const (fun send opts paths -> send cmd opts paths) $ transport $ opts $ paths)
+  in
+  let one_file = Term.(const (fun p -> [ p ]) $ file_arg) in
+  let check_sub =
+    sub "check" ~doc:"Batch-check .unity files through the daemon." Kpt_serve.Protocol.Check
+      check_opts files_arg
   in
   let lint_sub =
-    let run socket serve_auto retries backoff paths reorder jobs semantic json
-        warn_error quiet limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Lint
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          semantic;
-          json;
-          warn_error;
-          quiet;
-          limits;
-          reorder;
-        }
-        paths
-    in
-    Cmd.v
-      (Cmd.info "lint" ~doc:"Lint .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ semantic_arg $ json_arg
-        $ warn_error_arg $ quiet_arg $ limits_term)
+    sub "lint" ~doc:"Lint .unity files through the daemon." Kpt_serve.Protocol.Lint lint_opts
+      files_arg
   in
   let stats_sub =
-    let run socket serve_auto retries backoff paths reorder jobs json timings =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Stats
-        {
-          Kpt_analysis.Driver.default_options with
-          jobs = jobs_opt jobs;
-          json;
-          timings;
-          reorder;
-        }
-        paths
-    in
-    Cmd.v
-      (Cmd.info "stats" ~doc:"Profile .unity files through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ files_pos $ reorder_arg $ jobs_arg $ json_arg $ timings_arg)
+    sub "stats" ~doc:"Profile .unity files through the daemon." Kpt_serve.Protocol.Stats
+      stats_opts files_arg
   in
   let solve_sub =
-    let run socket serve_auto retries backoff path reorder slice trace limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Solve
-        {
-          Kpt_analysis.Driver.default_options with
-          slice;
-          trace;
-          limits;
-          reorder;
-        }
-        [ path ]
-    in
-    Cmd.v
-      (Cmd.info "solve"
-         ~doc:
-           "Solve a knowledge-based protocol through the daemon.  With $(b,--trace) \
-            the fixpoint events stream back live over the wire.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ file_pos $ reorder_arg $ slice_flag $ trace_arg $ limits_term)
+    sub "solve"
+      ~doc:
+        "Solve a knowledge-based protocol through the daemon.  With $(b,--trace) the \
+         fixpoint events stream back live over the wire."
+      Kpt_serve.Protocol.Solve solve_opts one_file
   in
   let slice_sub =
-    let run socket serve_auto retries backoff path reorder wrt limits =
-      roundtrip socket serve_auto retries backoff Kpt_serve.Protocol.Slice
-        {
-          Kpt_analysis.Driver.default_options with
-          wrt;
-          limits;
-          reorder;
-        }
-        [ path ]
-    in
-    Cmd.v
-      (Cmd.info "slice" ~doc:"Cone-of-influence slice through the daemon.")
-      Term.(
-        const run $ socket_arg $ serve_auto_arg $ retries_arg $ retry_backoff_arg
-        $ file_pos $ reorder_arg $ wrt_arg $ limits_term)
+    sub "slice" ~doc:"Cone-of-influence slice through the daemon." Kpt_serve.Protocol.Slice
+      slice_opts one_file
   in
   let control cmd =
     fun socket ->
@@ -1236,7 +1051,7 @@ let client_cmd =
           Kpt_serve.Protocol.id = 1;
           cmd;
           files = [];
-          opts = Kpt_analysis.Driver.default_options;
+          opts = Driver.default_options;
         }
   in
   let ping_sub =
@@ -1451,7 +1266,7 @@ let difftest_cmd =
               files = [ (file, source) ];
               opts =
                 {
-                  Kpt_analysis.Driver.default_options with
+                  Driver.default_options with
                   jobs = Some 1;
                   limits;
                   reorder = Engine.Reorder_off;

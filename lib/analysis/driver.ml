@@ -136,16 +136,10 @@ let stats_many ~jobs ~json ~timings sources ppf epf =
       sources
   in
   let code = ref 0 in
-  if json then Format.pp_print_string ppf "[\n";
   List.iteri
     (fun i r ->
       match r with
-      | Ok st ->
-          if json then begin
-            if i > 0 then Format.pp_print_string ppf ",\n";
-            Format.pp_print_string ppf (Stats.to_json ~timings st)
-          end
-          else Format.fprintf ppf "%a@." Stats.pp st
+      | Ok st -> if not json then Format.fprintf ppf "%a@." Stats.pp st
       | Error exn ->
           code := 1;
           let file = fst (List.nth sources i) in
@@ -153,7 +147,13 @@ let stats_many ~jobs ~json ~timings sources ppf epf =
           | Some d -> Format.fprintf epf "%a@." Diagnostic.pp d
           | None -> Format.fprintf epf "error: %s: %s@." file (Printexc.to_string exn)))
     collected;
-  if json then Format.pp_print_string ppf "]\n";
+  if json then
+    Format.pp_print_string ppf
+      (Json.pretty
+         (Json.List
+            (List.filter_map
+               (function Ok st -> Some (Stats.json ~timings st) | Error _ -> None)
+               collected)));
   !code
 
 let stats ?sink opts sources =

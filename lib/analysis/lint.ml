@@ -436,51 +436,37 @@ let lint_source_semantic ?budget ~file src =
 
 (* ---- JSON rendering (the [kpt lint --json] shape) -------------------------- *)
 
-(* Mirrors [Check.render_json] minus the per-file stats section, so the
-   two machine formats parse with the same code.  [Check] depends on this
-   module, so the (small) emitters live here rather than being shared. *)
-let severity_counts diags =
-  List.fold_left
-    (fun (e, w, i) (d : D.t) ->
-      match d.D.severity with
-      | D.Error -> (e + 1, w, i)
-      | D.Warning -> (e, w + 1, i)
-      | D.Info -> (e, w, i + 1))
-    (0, 0, 0) diags
+let json_document reports =
+  let counts ds =
+    let n sev = Json.Int (List.length (List.filter (fun (d : D.t) -> d.D.severity = sev) ds)) in
+    [ ("errors", n D.Error); ("warnings", n D.Warning); ("infos", n D.Info) ]
+  in
+  let diagnostic (d : D.t) =
+    Json.Obj
+      [
+        ("code", Json.String d.D.code);
+        ("severity", Json.String (D.severity_label d.D.severity));
+        ("message", Json.String d.D.message);
+      ]
+  in
+  let report (file, ds, extra) =
+    Json.Obj
+      ([
+         ("file", Json.String file);
+         ("status", Json.String (if List.exists D.is_error ds then "fail" else "ok"));
+         ("findings", Json.Obj (counts ds));
+         ("diagnostics", Json.List (List.map diagnostic ds));
+       ]
+      @ extra)
+  in
+  Json.Obj
+    ((("files", Json.Int (List.length reports))
+     :: counts (List.concat_map (fun (_, ds, _) -> ds) reports))
+    @ [ ("reports", Json.List (List.map report reports)) ])
 
-let render_json ppf (reports : (string * D.t list) list) =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let all = List.concat_map snd reports in
-  let e, w, i = severity_counts all in
-  pf "{\n";
-  pf "  \"files\": %d,\n  \"errors\": %d,\n  \"warnings\": %d,\n  \"infos\": %d,\n"
-    (List.length reports) e w i;
-  pf "  \"reports\": [";
-  List.iteri
-    (fun n (file, ds) ->
-      pf "%s\n" (if n = 0 then "" else ",");
-      let e, w, i = severity_counts ds in
-      pf "  {\n";
-      pf "    \"file\": \"%s\",\n" (Stats.json_escape file);
-      pf "    \"status\": \"%s\",\n"
-        (if List.exists D.is_error ds then "fail" else "ok");
-      pf "    \"findings\": { \"errors\": %d, \"warnings\": %d, \"infos\": %d },\n" e w i;
-      pf "    \"diagnostics\": [";
-      List.iteri
-        (fun j (d : D.t) ->
-          pf "%s\n      { \"code\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\" }"
-            (if j = 0 then "" else ",")
-            (Stats.json_escape d.D.code)
-            (D.severity_label d.D.severity)
-            (Stats.json_escape d.D.message))
-        ds;
-      if ds <> [] then pf "\n    ";
-      pf "]\n  }")
-    reports;
-  if reports <> [] then pf "\n  ";
-  pf "]\n}\n";
-  Format.fprintf ppf "%s" (Buffer.contents b)
+let render_json ppf reports =
+  Format.pp_print_string ppf
+    (Json.pretty (json_document (List.map (fun (file, ds) -> (file, ds, [])) reports)))
 
 (* The file-set driver behind [kpt lint].  Rendering and exit policy are
    deliberately decoupled: [--quiet] silences every line of output

@@ -44,11 +44,15 @@ val lint_source_semantic :
     reported as [KPT103] (replacing the generic [KPT003]).  Never
     raises. *)
 
+val json_document : (string * Diagnostic.t list * (string * Json.t) list) list -> Json.t
+(** The [--json] report of a file set: [files]/[errors]/[warnings]/[infos]
+    totals and [reports], one per [(file, diagnostics, extra)] with
+    [file]/[status]/[findings]/[diagnostics] and then the [extra]
+    members — [kpt check --json] adds each file's [stats] there. *)
+
 val render_json : Format.formatter -> (string * Diagnostic.t list) list -> unit
-(** The [kpt lint --json] shape: same top-level and per-file structure
-    as [kpt check --json] ([files]/[errors]/[warnings]/[infos] and
-    [reports] with [file]/[status]/[findings]/[diagnostics]), minus the
-    per-file [stats] section. *)
+(** The [kpt lint --json] shape: {!json_document} with no extra
+    members, pretty-printed. *)
 
 val run_sources :
   ?jobs:int ->

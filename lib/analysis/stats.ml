@@ -100,58 +100,53 @@ let pp fmt t =
     t.spans;
   Format.fprintf fmt "@]"
 
-(* Renders with the same escaping discipline as the bench harness. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json ?(timings = true) t =
+  let bdd = t.bdd in
+  let outcome =
+    match t.outcome with
+    | Standard { reachable; si_nodes } ->
+        [
+          ("reachable", Json.Int reachable);
+          ("si_nodes", Json.Int si_nodes);
+          ("sst_iterations", Json.Int (counter_value t "sst.iterations"));
+        ]
+    | Kbp_converged { steps; states } ->
+        [ ("kbp_fixpoint_steps", Json.Int steps); ("solution_states", Json.Int states) ]
+    | Kbp_cycle { period } -> [ ("kbp_cycle_period", Json.Int period) ]
+  in
+  let spans =
+    if not timings then []
+    else
+      [
+        ( "timings_ns",
+          Json.Table (List.map (fun (name, ns, _) -> (name, Json.Int (Int64.to_int ns))) t.spans)
+        );
+      ]
+  in
+  Json.Obj
+    ([
+       ("file", Json.String t.file);
+       ("kind", Json.String (kind t));
+       ("variables", Json.Int t.variables);
+       ("statements", Json.Int t.statements);
+       ("state_space", Json.Num (Bigcount.to_string t.state_space));
+     ]
+    @ outcome
+    @ [
+        ("op_cache_hit_rate", Json.fixed 4 (hit_rate t));
+        ("peak_nodes", Json.Int bdd.Bdd.nodes_created);
+        ( "bdd",
+          Json.Obj
+            [
+              ("nodes_created", Json.Int bdd.Bdd.nodes_created);
+              ("live_nodes", Json.Int bdd.Bdd.live_nodes);
+              ("unique_slots", Json.Int bdd.Bdd.unique_slots);
+              ("unique_load", Json.fixed 4 bdd.Bdd.unique_load);
+              ("spill_nodes", Json.Int bdd.Bdd.spill_nodes);
+              ("cache_slots", Json.Int bdd.Bdd.cache_slots);
+            ] );
+        ("counters", Json.Table (List.map (fun (name, v) -> (name, Json.Int v)) t.counters));
+      ]
+    @ spans)
 
-let to_json ?(timings = true) t =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"file\": \"%s\",\n" (json_escape t.file);
-  pf "  \"kind\": \"%s\",\n" (kind t);
-  pf "  \"variables\": %d,\n" t.variables;
-  pf "  \"statements\": %d,\n" t.statements;
-  pf "  \"state_space\": %s,\n" (Bigcount.to_string t.state_space);
-  (match t.outcome with
-  | Standard { reachable; si_nodes } ->
-      pf "  \"reachable\": %d,\n" reachable;
-      pf "  \"si_nodes\": %d,\n" si_nodes;
-      pf "  \"sst_iterations\": %d,\n" (counter_value t "sst.iterations")
-  | Kbp_converged { steps; states } ->
-      pf "  \"kbp_fixpoint_steps\": %d,\n" steps;
-      pf "  \"solution_states\": %d,\n" states
-  | Kbp_cycle { period } -> pf "  \"kbp_cycle_period\": %d,\n" period);
-  pf "  \"op_cache_hit_rate\": %.4f,\n" (hit_rate t);
-  pf "  \"peak_nodes\": %d,\n" t.bdd.Bdd.nodes_created;
-  pf "  \"bdd\": { \"nodes_created\": %d, \"live_nodes\": %d, \"unique_slots\": %d, \
-      \"unique_load\": %.4f, \"spill_nodes\": %d, \"cache_slots\": %d },\n"
-    t.bdd.Bdd.nodes_created t.bdd.Bdd.live_nodes t.bdd.Bdd.unique_slots t.bdd.Bdd.unique_load
-    t.bdd.Bdd.spill_nodes t.bdd.Bdd.cache_slots;
-  pf "  \"counters\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pf "    \"%s\": %d%s\n" (json_escape name) v
-        (if i = List.length t.counters - 1 then "" else ","))
-    t.counters;
-  if timings then begin
-    pf "  },\n  \"timings_ns\": {\n";
-    List.iteri
-      (fun i (name, ns, _) ->
-        pf "    \"%s\": %Ld%s\n" (json_escape name) ns
-          (if i = List.length t.spans - 1 then "" else ","))
-      t.spans;
-    pf "  }\n"
-  end
-  else pf "  }\n";
-  pf "}\n";
-  Buffer.contents b
+let to_json ?timings t = Json.pretty (json ?timings t)

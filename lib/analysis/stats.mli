@@ -41,11 +41,11 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable profile: headline metrics, the counter table, and the
     span timings. *)
 
-val to_json : ?timings:bool -> t -> string
-(** Machine-readable profile.  [~timings:false] (default [true]) omits
-    the [timings_ns] section — everything else is a deterministic
-    function of the input file, which is what the golden test pins. *)
+val json : ?timings:bool -> t -> Json.t
+(** The machine-readable profile as a value.  [~timings:false] (default
+    [true]) omits the [timings_ns] section — everything else is a
+    deterministic function of the input file, which is what the golden
+    test pins.  {!Check} nests it in its per-file reports. *)
 
-val json_escape : string -> string
-(** The string-escaping discipline of {!to_json}, shared with the other
-    JSON emitters ({!Check}, the bench harness). *)
+val to_json : ?timings:bool -> t -> string
+(** {!json}, pretty-printed ({!Json.pretty}). *)

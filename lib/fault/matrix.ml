@@ -111,30 +111,19 @@ let pp fmt t =
       Format.fprintf fmt "@]@.")
     (subjects t)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n  \"faults\": [%s],\n"
-    (String.concat ", " (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) t.faults));
-  pf "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      pf "    { \"subject\": \"%s\", \"fault\": \"%s\", \"property\": \"%s\", \"verdict\": \"%s\" }%s\n"
-        (json_escape c.subject) (json_escape c.fault) (json_escape c.prop)
-        (json_escape (verdict_to_string c.verdict))
-        (if i = List.length t.cells - 1 then "" else ","))
-    t.cells;
-  pf "  ]\n}\n";
-  Buffer.contents b
+  let cell c =
+    Json.Obj
+      [
+        ("subject", Json.String c.subject);
+        ("fault", Json.String c.fault);
+        ("property", Json.String c.prop);
+        ("verdict", Json.String (verdict_to_string c.verdict));
+      ]
+  in
+  Json.pretty
+    (Json.Obj
+       [
+         ("faults", Json.List (List.map (fun f -> Json.String f) t.faults));
+         ("cells", Json.List (List.map cell t.cells));
+       ])

@@ -244,93 +244,27 @@ module Gate = struct
     missing : string list;
   }
 
-  (* A pinhole scanner for the JSON this repository's bench harness
-     writes: locate a named section and read its members.  Handles the
-     escapes [json_escape] produces; anything structurally unexpected
-     raises. *)
   let fail fmt = Printf.ksprintf failwith fmt
 
-  let find_sub src sub from =
-    let n = String.length src in
-    let ls = String.length sub in
-    let rec go i =
-      if i + ls > n then fail "bench gate: %S not found in JSON" sub
-      else if String.sub src i ls = sub then i + ls
-      else go (i + 1)
-    in
-    go from
+  (* A top-level member of a bench results file. *)
+  let section name src =
+    match Json.of_string src with
+    | exception Json.Parse_error m -> fail "bench gate: malformed JSON: %s" m
+    | doc -> (
+        match Json.member name doc with
+        | Some v -> v
+        | None -> fail "bench gate: %S not found in JSON" name)
 
-  let rec skip_ws src i =
-    if
-      i < String.length src
-      && (src.[i] = ' ' || src.[i] = '\n' || src.[i] = '\t' || src.[i] = '\r')
-    then skip_ws src (i + 1)
-    else i
-
-  let expect src c i =
-    let i = skip_ws src i in
-    if i < String.length src && src.[i] = c then i + 1
-    else fail "bench gate: expected %c at offset %d" c i
-
-  let read_string src i =
-    let n = String.length src in
-    let b = Buffer.create 64 in
-    let rec go i =
-      if i >= n then fail "bench gate: unterminated string"
-      else
-        match src.[i] with
-        | '"' -> (Buffer.contents b, i + 1)
-        | '\\' when i + 1 < n ->
-            (match src.[i + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                if i + 5 < n then
-                  Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub src (i + 2) 4) land 0xff))
-                else fail "bench gate: truncated \\u escape"
-            | c -> Buffer.add_char b c);
-            go (i + if src.[i + 1] = 'u' then 6 else 2)
-        | c ->
-            Buffer.add_char b c;
-            go (i + 1)
-    in
-    go i
-
-  let read_number src i =
-    let n = String.length src in
-    let i = skip_ws src i in
-    let stop = ref i in
-    while
-      !stop < n
-      && (match src.[!stop] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false)
-    do
-      Stdlib.incr stop
-    done;
-    if !stop = i then fail "bench gate: expected a number at offset %d" i;
-    (float_of_string (String.sub src i (!stop - i)), !stop)
+  let number = function
+    | Json.Int i -> float_of_int i
+    | Json.Float f -> f
+    | _ -> fail "bench gate: expected a number"
 
   (* "string": number members of a named top-level object *)
-  let object_members section src =
-    let n = String.length src in
-    let i = find_sub src (Printf.sprintf "%S" section) 0 in
-    let i = expect src ':' i in
-    let i = expect src '{' i in
-    let rec members acc i =
-      let i = skip_ws src i in
-      if i < n && src.[i] = '}' then List.rev acc
-      else
-        let i = expect src '"' i in
-        let name, i = read_string src i in
-        let i = expect src ':' i in
-        let v, i = read_number src i in
-        let i = skip_ws src i in
-        if i < n && src.[i] = ',' then members ((name, v) :: acc) (i + 1)
-        else members ((name, v) :: acc) i
-    in
-    members [] i
+  let object_members name src =
+    match section name src with
+    | Json.Obj kvs -> List.map (fun (k, v) -> (k, number v)) kvs
+    | _ -> fail "bench gate: %S is not an object" name
 
   let benchmarks_of_json src = object_members "benchmarks_ns_per_run" src
   let counters_of_json src = object_members "counters" src
@@ -350,52 +284,27 @@ module Gate = struct
         Printf.sprintf "%s is incomplete — benchmark %S is missing from section %S" file
           b section
 
-  (* [require_section ~file ~section parse src]: run a section scanner,
+  (* [require_section ~file ~section parse src]: run a section reader,
      converting its bare [Failure] into the structured message above. *)
   let require_section ~file ~section parse src =
     try parse src
     with Failure _ -> failwith (missing_section_message ~file ~section ())
 
   let scaling_of_json src =
-    let n = String.length src in
-    let i = find_sub src "\"scaling_standard_protocol\"" 0 in
-    let i = expect src ':' i in
-    let i = expect src '[' i in
-    let rec rows acc i =
-      let i = skip_ws src i in
-      if i >= n then fail "bench gate: unterminated scaling array"
-      else if src.[i] = ']' then List.rev acc
-      else if src.[i] = ',' then rows acc (i + 1)
-      else begin
-        let i = expect src '{' i in
-        (* rows written before the family field default to the standard
-           protocol, the only family the sweep had then *)
-        let rec fields fam sz a si i =
-          let i = skip_ws src i in
-          if i < n && src.[i] = '}' then ((fam, sz, a, si), i + 1)
-          else if i < n && src.[i] = ',' then fields fam sz a si (i + 1)
-          else
-            let i = expect src '"' i in
-            let name, i = read_string src i in
-            let i = expect src ':' i in
-            let i = skip_ws src i in
-            if i < n && src.[i] = '"' then begin
-              let v, i = read_string src (i + 1) in
-              fields (if name = "family" then v else fam) sz a si i
-            end
-            else
-              let v, i = read_number src i in
-              (match name with
-              | "n" -> fields fam (int_of_float v) a si i
-              | "a" -> fields fam sz (int_of_float v) si i
-              | "si_s" -> fields fam sz a v i
-              | _ -> fields fam sz a si i)
-        in
-        let row, i = fields "seqtrans" 0 0 0.0 i in
-        rows (row :: acc) i
-      end
+    let row = function
+      | Json.Obj _ as r ->
+          let num k = Option.fold ~none:0.0 ~some:number (Json.member k r) in
+          (* rows written before the family field default to the standard
+             protocol, the only family the sweep had then *)
+          ( Option.value ~default:"seqtrans" (Option.bind (Json.member "family" r) Json.to_str),
+            int_of_float (num "n"),
+            int_of_float (num "a"),
+            num "si_s" )
+      | _ -> fail "bench gate: a scaling row is not an object"
     in
-    rows [] i
+    match section "scaling_standard_protocol" src with
+    | Json.List rows -> List.map row rows
+    | _ -> fail "bench gate: \"scaling_standard_protocol\" is not an array"
 
   let check ?(tolerance = 0.25) ~baseline current =
     let base = benchmarks_of_json baseline in

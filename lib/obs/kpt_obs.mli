@@ -173,9 +173,10 @@ module Gate : sig
   }
 
   val benchmarks_of_json : string -> (string * float) list
-  (** Extract the ["benchmarks_ns_per_run"] object of a bench JSON file
-      (the format {e this} repository writes; not a general JSON parser).
-      @raise Failure if the section is absent or malformed. *)
+  (** Extract the top-level ["benchmarks_ns_per_run"] object of a bench
+      JSON file, parsed with {!Json.of_string}.
+      @raise Failure if the file is not JSON or the section is absent or
+      malformed. *)
 
   val counters_of_json : string -> (string * float) list
   (** Extract the cumulative ["counters"] object of a bench JSON file.
@@ -196,7 +197,7 @@ module Gate : sig
 
   val require_section :
     file:string -> section:string -> (string -> 'a) -> string -> 'a
-  (** Run a section scanner ({!benchmarks_of_json}, {!counters_of_json},
+  (** Run a section reader ({!benchmarks_of_json}, {!counters_of_json},
       {!scaling_of_json}), converting its bare [Failure] into
       {!missing_section_message}.
       @raise Failure with the structured message. *)

@@ -416,6 +416,10 @@ let serve_connection st c =
           Atomic.incr st.in_flight;
           Kpt_obs.record_max c_inflight_peak (Atomic.get st.in_flight);
           let verdict =
+            (* every exit decrements the gauge, an exception out of the
+               handler included: the worker's catch-all recovers from
+               that, and the gauge must not remember it *)
+            Fun.protect ~finally:(fun () -> Atomic.decr st.in_flight) @@ fun () ->
             match handle_line st fd line with
             | v -> v
             | exception (Sys_error _ | Unix.Unix_error _) ->
@@ -425,7 +429,6 @@ let serve_connection st c =
                 log "client disconnected mid-request; dropping the connection";
                 `Close
           in
-          Atomic.decr st.in_flight;
           match verdict with
           | `Continue -> loop ()
           | `Close -> ()

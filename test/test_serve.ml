@@ -616,6 +616,72 @@ let test_ping_health_golden () =
   Alcotest.(check string) "health fields match the golden file"
     (read_file "golden/ping_health.txt") rendered
 
+(* ---- the in-flight gauge after a crashing request ----------------------------- *)
+
+(* relay n=2 exceeds [Kbp.solutions]' 2^22 candidate bound, so its solve
+   raises [Invalid_argument] inside the request handler.  Whatever the
+   client makes of that, the gauge must come back down: the next ping
+   sees only itself in flight. *)
+let test_inflight_gauge_after_crash () =
+  let relay2 =
+    let fam = Option.get (Kpt_gen.Family.find "relay") in
+    let built = fam.Kpt_gen.Family.build ~n:2 (Kpt_gen.Rng.of_int 1) in
+    Kpt_syntax.Mutate.to_source built.Kpt_gen.Family.ast
+  in
+  with_server ~tag:"gauge" ~jobs:1 @@ fun socket ->
+  ignore (Client.roundtrip ~socket (mk_req Protocol.Solve [ ("relay2.unity", relay2) ]));
+  let r = result_exn (Client.roundtrip ~socket (mk_req Protocol.Ping [])) in
+  Alcotest.(check (option int)) "only the ping is in flight" (Some 1)
+    (List.assoc_opt "in_flight" r.daemon)
+
+(* ---- client flag parity ------------------------------------------------------- *)
+
+(* The option names [kpt ARGS --help=plain] lists, sorted. *)
+let option_names args =
+  let exe = "../bin/kpt.exe" in
+  let ic = Unix.open_process_args_in exe (Array.of_list ((exe :: args) @ [ "--help=plain" ])) in
+  let help = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  let name item =
+    let stop = ref 0 in
+    while
+      !stop < String.length item
+      && (match item.[!stop] with 'a' .. 'z' | 'A' .. 'Z' | '-' -> true | _ -> false)
+    do
+      incr stop
+    done;
+    String.sub item 0 !stop
+  in
+  (* option lines of the OPTIONS sections: the headers are the
+     unindented lines, the option names start at column 7 *)
+  let in_options = ref false in
+  String.split_on_char '\n' help
+  |> List.filter (fun l ->
+         if l <> "" && l.[0] <> ' ' then in_options := String.ends_with ~suffix:"OPTIONS" l;
+         !in_options && String.length l > 8 && String.sub l 0 8 = "       -")
+  |> List.concat_map (fun l -> String.split_on_char ',' (String.trim l))
+  |> List.map (fun item -> name (String.trim item))
+  |> List.sort_uniq compare
+
+(* README promises [kpt client X] has the direct command's flags: the
+   same names, minus the built-in-protocol flags of check, plus the
+   transport flags. *)
+let test_client_flag_parity () =
+  let transport = [ "--socket"; "--serve-auto"; "--retries"; "--retry-backoff" ] in
+  let builtin_only = [ "-n"; "--horizon"; "-a"; "--alphabet"; "--lossy"; "--fault" ] in
+  List.iter
+    (fun (direct, client) ->
+      let expected =
+        List.filter (fun o -> not (direct = "check" && List.mem o builtin_only)) (option_names [ direct ])
+        @ transport
+        |> List.sort_uniq compare
+      in
+      Alcotest.(check bool) (direct ^ ": the direct command has options") true
+        (List.mem "--reorder" expected);
+      Alcotest.(check (list string)) ("kpt client " ^ client ^ " vs kpt " ^ direct) expected
+        (option_names [ "client"; client ]))
+    [ ("check", "check"); ("lint", "lint"); ("stats", "stats"); ("solve-file", "solve"); ("slice", "slice") ]
+
 (* ---- a mini chaos sweep ------------------------------------------------------- *)
 
 let test_chaos_mini_sweep () =
@@ -693,6 +759,10 @@ let suite =
       test_retry_reaches_a_late_daemon;
     Alcotest.test_case "ping health fields are pinned (golden)" `Quick
       test_ping_health_golden;
+    Alcotest.test_case "in-flight gauge recovers from a crashing request" `Quick
+      test_inflight_gauge_after_crash;
+    Alcotest.test_case "client subcommands have the direct commands' flags" `Quick
+      test_client_flag_parity;
     Alcotest.test_case "mini chaos sweep against a spawned daemon" `Slow
       test_chaos_mini_sweep;
   ]
